@@ -53,6 +53,13 @@ fi
 echo "==> cargo bench --no-run"
 cargo bench --no-run
 
+# The benchmark package (perfbench/, its own workspace) compiles against
+# the public API of crates/*: an API change that breaks it must fail
+# here, not later in the perf pipeline. Its own tests (open-loop stall
+# inflation, percentile support, self-time accounting) run with it.
+echo "==> benchmark package build + tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The JSON throughput runner in smoke mode: exercises the full sharded
 # hot path end to end — including the --churn scenario's periodic epoch
 # transitions, the --sink scenario's zero-copy consumer delivery, the

@@ -35,11 +35,12 @@
 //! wall-clock or call timing. A schedule with zero commands never
 //! compiles a plan and reproduces the static service exactly.
 //!
-//! **Adaptive PPM, online.** Each epoch compile under
-//! [`PpmKind::Adaptive`] re-runs Algorithm 1 (§V-B,
-//! [`optimize_all`](crate::adaptive::optimize_all)) on the **effective
-//! history**: the explicitly granted history followed by a bounded
-//! sliding window of *released* (protected) population windows the
+//! **Adaptive PPM, online.** An epoch compile under
+//! [`PpmKind::Adaptive`] runs Algorithm 1 (§V-B, [`optimize_all`]) on
+//! the **effective history** (or reuses the previous result when none of
+//! its inputs changed — see the transition cost model below): the
+//! explicitly granted history followed by a bounded sliding window of
+//! *released* (protected) population windows the
 //! service feeds back via [`ControlPlane::observe_release`]. Using the
 //! released view keeps the optimizer input on the public side of the
 //! trust boundary (post-processing — no extra budget). §V-C correlation
@@ -48,16 +49,44 @@
 //! stays charged in the per-subject ledgers; a revoked pattern stops
 //! charging but never refunds (see
 //! [`EpochLedger`](pdp_dp::EpochLedger)).
+//!
+//! **Transition cost model.** Like the paper's setup phase, which fixes
+//! subjects and private patterns once, an epoch transition costs what
+//! changed, not what is registered:
+//!
+//! * *routing* — the plane records which subjects' active state flipped
+//!   since the last compile; each plan carries that delta
+//!   ([`EpochPlan::routed`] / [`EpochPlan::unrouted`]) and the service
+//!   applies it to its route table, so a transition costs
+//!   O(changed subjects), not O(registered subjects). Only the initial
+//!   compile lists every active subject;
+//! * *accounting* — the service keeps budget ledgers only for subjects
+//!   some plan has charged, and installing a plan touches only the
+//!   previous plan's charges plus the new plan's: O(charged subjects);
+//! * *Algorithm 1* — the last [`optimize_all`]
+//!   assignment is kept with its inputs (active private ids, target ids,
+//!   a history generation bumped by [`ControlPlane::provide_history`] and
+//!   [`ControlPlane::observe_release`], the widening setting) and reused
+//!   when they are equal. Reuse is bit-for-bit the recompute (the
+//!   optimizer is deterministic in those inputs); the stored assignment
+//!   is derived state and is not part of a [`ControlPlaneSnapshot`], so
+//!   the first compile after a restore recomputes. With a sliding history
+//!   that moves every epoch, every compile recomputes;
+//! * the rest is per plan, independent of the subject count: compiling
+//!   the flip table and the detector pattern set, and fanning the plan
+//!   out to the shards.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use pdp_cep::{Pattern, PatternId, PatternSet, QueryId};
 use pdp_dp::Epsilon;
 use pdp_metrics::Alpha;
 use pdp_stream::{IndicatorVector, WindowedIndicators};
 
+use crate::adaptive::{optimize_all, AdaptiveConfig};
 use crate::answer::{Query, QuerySpec};
 use crate::correlation::{find_correlates, widen_protection, Correlate};
+use crate::distribution::BudgetDistribution;
 use crate::engine::PpmKind;
 use crate::error::CoreError;
 use crate::protect::{Mechanism, ProtectionPipeline};
@@ -149,11 +178,6 @@ pub enum CommandOutcome {
 
 #[derive(Debug, Clone)]
 struct SubjectState {
-    /// The dense intern index assigned at first registration (position in
-    /// registration order). Stable forever — retirement and re-activation
-    /// never reassign it — so the data plane can key per-subject state by
-    /// a plain `Vec` index instead of hashing the raw 64-bit id.
-    dense: u32,
     /// Every private pattern this subject ever registered, in order
     /// (revoked ones included — ids stay meaningful for spend lookups).
     patterns: Vec<PatternId>,
@@ -185,6 +209,24 @@ pub struct EpochPlan {
     /// Latent correlates pulled into the flip table (§V-C), when widening
     /// is enabled; empty otherwise.
     pub correlates: Vec<Correlate>,
+    /// Subjects that become routable with this plan (registered or
+    /// re-registered since the previous compile), in id order. The
+    /// initial plan lists every active subject.
+    pub routed: Vec<SubjectId>,
+    /// Subjects that stop being routable with this plan (retired since
+    /// the previous compile), in id order.
+    pub unrouted: Vec<SubjectId>,
+}
+
+/// The last Algorithm 1 result and the inputs it was computed from (see
+/// the module docs' transition cost model).
+#[derive(Debug, Clone)]
+struct StoredAssignment {
+    private: Vec<PatternId>,
+    targets: Vec<PatternId>,
+    history_generation: u64,
+    widening: Option<(f64, Epsilon)>,
+    assignments: Vec<(PatternId, BudgetDistribution)>,
 }
 
 /// Plain-data image of a [`ControlPlane`]'s dynamic state, as captured by
@@ -203,10 +245,14 @@ pub struct ControlPlaneSnapshot {
     pub private_order: Vec<(SubjectId, PatternId)>,
     /// Revoked pattern ids, in revocation order.
     pub revoked: Vec<PatternId>,
-    /// Per-subject `(id, dense intern index, owned patterns, retired)` in
-    /// id order. The dense indexes are a permutation of `0..len`
-    /// (registration order); restore rebuilds the reverse table from them.
-    pub subjects: Vec<(SubjectId, u32, Vec<PatternId>, bool)>,
+    /// Per-subject `(id, owned patterns, retired)` in id order. `retired`
+    /// is the *staged* state.
+    pub subjects: Vec<(SubjectId, Vec<PatternId>, bool)>,
+    /// Subjects whose staged active state differs from the compiled
+    /// (routed) one, in id order: a subject is routed iff it is active
+    /// XOR listed here (and the initial compile ran). This is what tells
+    /// the compiled routing set apart from staged commands.
+    pub route_flips: Vec<SubjectId>,
     /// Query registry rows `(name, spec, active)`; index = stable id.
     pub queries: Vec<(String, QuerySpec, bool)>,
     /// Explicitly granted history, if any.
@@ -234,15 +280,24 @@ pub struct ControlPlane {
     private_order: Vec<(SubjectId, PatternId)>,
     revoked: Vec<PatternId>,
     subjects: BTreeMap<SubjectId, SubjectState>,
-    /// Reverse dense-intern table: `by_dense[d]` is the subject holding
-    /// dense index `d` (registration order, append-only).
-    by_dense: Vec<SubjectId>,
+    /// Subjects whose staged active state differs from the compiled one
+    /// (the routing delta of the next plan). Each flip of a subject's
+    /// active state toggles its membership. Not kept before the initial
+    /// compile, which routes every active subject.
+    route_flips: BTreeSet<SubjectId>,
     /// Query registry; index = stable [`QueryId`].
     queries: Vec<QueryState>,
     explicit_history: Option<WindowedIndicators>,
     /// Sliding history of released (protected) population windows,
     /// bounded by `config.history_window`.
     released_history: VecDeque<IndicatorVector>,
+    /// Bumped whenever the effective history changes; keys the stored
+    /// Algorithm 1 result.
+    history_generation: u64,
+    /// The last Algorithm 1 result, reused while its inputs are equal.
+    assignment: Option<StoredAssignment>,
+    /// Algorithm 1 runs since this plane was built or restored.
+    optimize_runs: u64,
     widening: Option<(f64, Epsilon)>,
     epoch: u64,
     compiled_initial: bool,
@@ -258,10 +313,13 @@ impl ControlPlane {
             private_order: Vec::new(),
             revoked: Vec::new(),
             subjects: BTreeMap::new(),
-            by_dense: Vec::new(),
+            route_flips: BTreeSet::new(),
             queries: Vec::new(),
             explicit_history: None,
             released_history: VecDeque::new(),
+            history_generation: 0,
+            assignment: None,
+            optimize_runs: 0,
             widening: None,
             epoch: 0,
             compiled_initial: false,
@@ -279,8 +337,9 @@ impl ControlPlane {
             subjects: self
                 .subjects
                 .iter()
-                .map(|(&id, s)| (id, s.dense, s.patterns.clone(), s.retired))
+                .map(|(&id, s)| (id, s.patterns.clone(), s.retired))
                 .collect(),
+            route_flips: self.route_flips.iter().copied().collect(),
             queries: self
                 .queries
                 .iter()
@@ -300,22 +359,11 @@ impl ControlPlane {
 
     /// Rebuild a control plane from a snapshot plus the construction-time
     /// config. The derived pattern-type index is reindexed, so snapshots
-    /// that crossed a serialization boundary restore correctly.
+    /// that crossed a serialization boundary restore correctly. The stored
+    /// Algorithm 1 result is derived state and starts empty.
     pub fn restore(config: ControlPlaneConfig, snapshot: ControlPlaneSnapshot) -> Self {
         let mut patterns = snapshot.patterns;
         patterns.reindex();
-        // Rebuild the reverse intern table; the snapshot's dense indexes
-        // must be a permutation of 0..len (the durability decoder enforces
-        // this for images crossing a serialization boundary).
-        let mut by_dense = vec![SubjectId(0); snapshot.subjects.len()];
-        for &(id, dense, _, _) in &snapshot.subjects {
-            assert!(
-                (dense as usize) < by_dense.len(),
-                "dense index {dense} out of range for {} subjects",
-                by_dense.len()
-            );
-            by_dense[dense as usize] = id;
-        }
         ControlPlane {
             config,
             patterns,
@@ -324,18 +372,9 @@ impl ControlPlane {
             subjects: snapshot
                 .subjects
                 .into_iter()
-                .map(|(id, dense, patterns, retired)| {
-                    (
-                        id,
-                        SubjectState {
-                            dense,
-                            patterns,
-                            retired,
-                        },
-                    )
-                })
+                .map(|(id, patterns, retired)| (id, SubjectState { patterns, retired }))
                 .collect(),
-            by_dense,
+            route_flips: snapshot.route_flips.into_iter().collect(),
             queries: snapshot
                 .queries
                 .into_iter()
@@ -343,6 +382,9 @@ impl ControlPlane {
                 .collect(),
             explicit_history: snapshot.explicit_history.map(WindowedIndicators::new),
             released_history: snapshot.released_history.into(),
+            history_generation: 0,
+            assignment: None,
+            optimize_runs: 0,
             widening: snapshot.widening,
             epoch: snapshot.epoch,
             compiled_initial: snapshot.compiled_initial,
@@ -384,29 +426,34 @@ impl ControlPlane {
     }
 
     /// Stage: register a subject with no private patterns (or re-activate
-    /// a retired one). First registration interns the subject under the
-    /// next dense index; re-registration (even after retirement) keeps the
-    /// original index.
+    /// a retired one).
     pub fn register_subject(&mut self, subject: SubjectId) -> SubjectId {
         if let Some(state) = self.subjects.get_mut(&subject) {
             if state.retired {
                 state.retired = false;
                 self.dirty = true;
+                self.flip_route(subject);
             }
         } else {
-            let dense = self.by_dense.len() as u32;
-            self.by_dense.push(subject);
             self.subjects.insert(
                 subject,
                 SubjectState {
-                    dense,
                     patterns: Vec::new(),
                     retired: false,
                 },
             );
             self.dirty = true;
+            self.flip_route(subject);
         }
         subject
+    }
+
+    /// Record that `subject`'s staged active state flipped: a second flip
+    /// before the next compile cancels the first.
+    fn flip_route(&mut self, subject: SubjectId) {
+        if self.compiled_initial && !self.route_flips.remove(&subject) {
+            self.route_flips.insert(subject);
+        }
     }
 
     /// Stage: a tenant leaves the service.
@@ -418,6 +465,7 @@ impl ControlPlane {
         if !state.retired {
             state.retired = true;
             self.dirty = true;
+            self.flip_route(subject);
         }
         Ok(())
     }
@@ -527,6 +575,7 @@ impl ControlPlane {
     /// Stage: grant (replace) explicitly provided historical data.
     pub fn provide_history(&mut self, windows: WindowedIndicators) {
         self.explicit_history = Some(windows);
+        self.history_generation += 1;
         self.dirty = true;
     }
 
@@ -551,6 +600,7 @@ impl ControlPlane {
             self.released_history.pop_front();
         }
         self.released_history.push_back(window.clone());
+        self.history_generation += 1;
     }
 
     /// True when staged commands await the next epoch compile.
@@ -561,6 +611,13 @@ impl ControlPlane {
     /// The current epoch (0 until the first transition compiles).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// How many compiles ran Algorithm 1 since this plane was built or
+    /// restored; compiles that reused the stored assignment (or run a
+    /// non-adaptive PPM) do not count.
+    pub fn optimize_runs(&self) -> u64 {
+        self.optimize_runs
     }
 
     /// The append-only pattern registry.
@@ -598,32 +655,17 @@ impl ControlPlane {
             .collect()
     }
 
-    /// The dense intern index assigned to `subject` at first registration
-    /// (`None` for a subject never registered). Stable across retirement
-    /// and re-registration, and deterministic: the same command schedule
-    /// assigns the same indexes.
-    pub fn dense_index(&self, subject: SubjectId) -> Option<u32> {
-        self.subjects.get(&subject).map(|s| s.dense)
-    }
-
-    /// The subject holding dense index `dense`, if assigned.
-    pub fn subject_of_dense(&self, dense: u32) -> Option<SubjectId> {
-        self.by_dense.get(dense as usize).copied()
-    }
-
-    /// Number of dense indexes assigned so far (= subjects ever
-    /// registered; the registry is append-only).
-    pub fn dense_count(&self) -> usize {
-        self.by_dense.len()
-    }
-
-    /// Whether `subject` is registered and not retired — with its dense
-    /// index when so. One probe for the service's route-table rebuilds.
-    pub fn active_dense_index(&self, subject: SubjectId) -> Option<u32> {
+    /// The subjects routable under the last compiled plan, in id order:
+    /// the active subjects with every staged-but-uncompiled flip undone.
+    /// Empty before the initial compile.
+    pub fn routed_subjects(&self) -> impl Iterator<Item = SubjectId> + '_ {
         self.subjects
-            .get(&subject)
-            .filter(|s| !s.retired)
-            .map(|s| s.dense)
+            .iter()
+            // routed = active XOR flipped: an active subject is routed
+            // unless its activation is staged, a retired one only while
+            // its retirement is staged
+            .filter(|(id, s)| self.compiled_initial && s.retired == self.route_flips.contains(id))
+            .map(|(&id, _)| id)
     }
 
     /// True if `subject` ever registered `pattern` (revoked ones
@@ -694,7 +736,70 @@ impl ControlPlane {
         plan
     }
 
-    fn compile(&self) -> Result<EpochPlan, CoreError> {
+    /// The routing delta of the next plan: `(routed, unrouted)`, each in
+    /// id order. Every active subject before the initial compile; the
+    /// recorded flips after it.
+    fn route_delta(&self) -> (Vec<SubjectId>, Vec<SubjectId>) {
+        if !self.compiled_initial {
+            let routed = self
+                .subjects
+                .iter()
+                .filter(|(_, s)| !s.retired)
+                .map(|(&id, _)| id)
+                .collect();
+            return (routed, Vec::new());
+        }
+        self.route_flips
+            .iter()
+            .partition(|id| self.subjects.get(id).is_some_and(|s| !s.retired))
+    }
+
+    /// The Algorithm 1 assignment for `private` against `targets`: the
+    /// stored one when every input is unchanged, otherwise a fresh
+    /// [`optimize_all`] run on the effective history (stored for the next
+    /// compile). Only the fresh run materializes the history.
+    fn adaptive_assignment(
+        &mut self,
+        private: &[PatternId],
+        targets: Vec<PatternId>,
+        eps: Epsilon,
+        config: &AdaptiveConfig,
+    ) -> Result<Vec<(PatternId, BudgetDistribution)>, CoreError> {
+        if let Some(stored) = &self.assignment {
+            if stored.private == private
+                && stored.targets == targets
+                && stored.history_generation == self.history_generation
+                && stored.widening == self.widening
+            {
+                return Ok(stored.assignments.clone());
+            }
+        }
+        let history = self.effective_history().ok_or(CoreError::MissingHistory)?;
+        let model = QualityModel::new(history, &self.patterns, &targets, self.config.alpha)?;
+        let assignments = optimize_all(
+            &self.patterns,
+            private,
+            eps,
+            &model,
+            self.config.n_types,
+            config,
+        )?;
+        self.optimize_runs += 1;
+        self.assignment = Some(StoredAssignment {
+            private: private.to_vec(),
+            targets,
+            history_generation: self.history_generation,
+            widening: self.widening,
+            assignments: assignments.clone(),
+        });
+        Ok(assignments)
+    }
+
+    /// Compile the current state into a plan for `self.epoch`. On success
+    /// the recorded route flips are consumed; on failure only the stored
+    /// Algorithm 1 result may have changed (it is a pure function of its
+    /// inputs, so that is harmless).
+    fn compile(&mut self) -> Result<EpochPlan, CoreError> {
         let active_private = self.active_private();
         let active_queries: Vec<QueryRef> = self
             .queries
@@ -708,10 +813,8 @@ impl ControlPlane {
             })
             .collect();
         let n_types = self.config.n_types;
-        // one materialization shared by the adaptive model and the
-        // widening pass (both deep-copy the windows otherwise)
-        let mut history = self.effective_history();
-        let pipeline = match &self.config.ppm {
+        let ppm = self.config.ppm.clone();
+        let pipeline = match &ppm {
             PpmKind::PassThrough => ProtectionPipeline::from_assignments(
                 "pass-through",
                 &self.patterns,
@@ -722,14 +825,6 @@ impl ControlPlane {
                 ProtectionPipeline::uniform(&self.patterns, &active_private, *eps, n_types)?
             }
             PpmKind::Adaptive { eps, config } => {
-                // the model takes ownership; keep a copy only when the
-                // widening pass still needs the windows afterwards
-                let history = if self.widening.is_some() {
-                    history.clone()
-                } else {
-                    history.take()
-                }
-                .ok_or(CoreError::MissingHistory)?;
                 let mut target_ids: Vec<PatternId> = Vec::new();
                 for q in &active_queries {
                     for pid in q.spec.referenced_patterns() {
@@ -738,23 +833,21 @@ impl ControlPlane {
                         }
                     }
                 }
-                let model =
-                    QualityModel::new(history, &self.patterns, &target_ids, self.config.alpha)?;
-                ProtectionPipeline::adaptive(
+                let assignments =
+                    self.adaptive_assignment(&active_private, target_ids, *eps, config)?;
+                ProtectionPipeline::from_assignments(
+                    "adaptive",
                     &self.patterns,
-                    &active_private,
-                    *eps,
-                    &model,
+                    assignments,
                     n_types,
-                    config,
                 )?
             }
         };
         let (pipeline, correlates) = match self.widening {
             Some((threshold, correlate_eps)) => {
-                let history = history.as_ref().ok_or(CoreError::MissingHistory)?;
+                let history = self.effective_history().ok_or(CoreError::MissingHistory)?;
                 let correlates =
-                    find_correlates(history, &self.patterns, &active_private, threshold)?;
+                    find_correlates(&history, &self.patterns, &active_private, threshold)?;
                 let widened = widen_protection(pipeline.flip_table(), &correlates, correlate_eps)?;
                 (
                     ProtectionPipeline::from_table(
@@ -775,12 +868,16 @@ impl ControlPlane {
             .filter_map(|(subject, pid)| budgets.get(&pid).map(|&eps| (subject, pid, eps)))
             .collect();
         let query_charges = core.query_charges();
+        let (routed, unrouted) = self.route_delta();
+        self.route_flips.clear();
         Ok(EpochPlan {
             epoch: self.epoch,
             core,
             charges,
             query_charges,
             correlates,
+            routed,
+            unrouted,
         })
     }
 }
@@ -788,7 +885,6 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptiveConfig;
     use pdp_stream::EventType;
 
     fn t(i: u32) -> EventType {

@@ -67,12 +67,17 @@ use crate::sink::ReleaseSink;
 use crate::streaming::{EngineSnapshot, OnlineCoreSnapshot, QueryRef};
 
 /// File magic of a checkpoint artifact (the trailing byte is the format
-/// version; v2 added the control plane's dense subject-intern indexes).
-const CKPT_MAGIC: &[u8; 8] = b"PDPCKPT\x02";
-/// The v1 magic: recognized only to produce a typed "unsupported
-/// version" error instead of a generic bad-magic one. v1 images predate
-/// dense subject interning and cannot be decoded by this build.
-const CKPT_MAGIC_V1: &[u8; 8] = b"PDPCKPT\x01";
+/// version). v3 images carry the control plane's staged route flips,
+/// which tell the compiled routing set apart from staged commands, and
+/// per-subject ledgers only for subjects a plan has charged.
+const CKPT_MAGIC: &[u8; 8] = b"PDPCKPT\x03";
+/// Magic prefix shared by every checkpoint version: older versions are
+/// recognized only to produce a typed "unsupported version" error
+/// instead of a generic bad-magic one. v1 (before dense subject
+/// interning) and v2 (dense-interned, without staged route flips) cannot
+/// be decoded by this build: a v2 control image cannot say which
+/// subjects were routed at the last compile.
+const CKPT_MAGIC_PREFIX: &[u8; 7] = b"PDPCKPT";
 /// File magic of a write-ahead log (the trailing byte is the format
 /// version; v2 added per-frame sequence numbers and checksums).
 const WAL_MAGIC: &[u8; 8] = b"PDPWAL\x00\x02";
@@ -281,18 +286,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-        self.3.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
     }
 }
 
@@ -689,6 +682,7 @@ impl Wire for ControlPlaneSnapshot {
         self.private_order.encode(w);
         self.revoked.encode(w);
         self.subjects.encode(w);
+        self.route_flips.encode(w);
         self.queries.encode(w);
         self.explicit_history.encode(w);
         self.released_history.encode(w);
@@ -702,27 +696,8 @@ impl Wire for ControlPlaneSnapshot {
             patterns: PatternSet::decode(r)?,
             private_order: Vec::decode(r)?,
             revoked: Vec::decode(r)?,
-            subjects: {
-                // The dense intern indexes must be a permutation of
-                // 0..len: ControlPlane::restore indexes its reverse table
-                // with them, so a corrupt image must fail typed here, not
-                // panic there.
-                let subjects: Vec<(SubjectId, u32, Vec<PatternId>, bool)> = Vec::decode(r)?;
-                let mut seen = vec![false; subjects.len()];
-                for &(_, dense, _, _) in &subjects {
-                    match seen.get_mut(dense as usize) {
-                        Some(slot) if !*slot => *slot = true,
-                        _ => {
-                            return Err(durability_err(format!(
-                                "invalid dense subject index {dense} (must be a \
-                                 permutation of 0..{})",
-                                subjects.len()
-                            )))
-                        }
-                    }
-                }
-                subjects
-            },
+            subjects: Vec::decode(r)?,
+            route_flips: Vec::decode(r)?,
             queries: Vec::decode(r)?,
             explicit_history: Option::decode(r)?,
             released_history: Vec::decode(r)?,
@@ -1075,11 +1050,12 @@ pub fn write_checkpoint(path: &Path, checkpoint: &ServiceCheckpoint) -> Result<(
 /// Read and validate a checkpoint file written by [`write_checkpoint`].
 pub fn read_checkpoint(path: &Path) -> Result<ServiceCheckpoint, CoreError> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read checkpoint", e))?;
-    if bytes.len() >= 8 && &bytes[..8] == CKPT_MAGIC_V1 {
-        return Err(durability_err(
-            "unsupported checkpoint format version 1 (predates dense subject \
-             interning); re-checkpoint from a live service",
-        ));
+    if bytes.len() >= 8 && &bytes[..7] == CKPT_MAGIC_PREFIX && bytes[7] < CKPT_MAGIC[7] {
+        return Err(durability_err(format!(
+            "unsupported checkpoint format version {} (predates the compiled/staged \
+             routing split); re-checkpoint from a live service",
+            bytes[7]
+        )));
     }
     if bytes.len() < 24 || &bytes[..8] != CKPT_MAGIC {
         return Err(durability_err("not a checkpoint file (bad magic)"));
@@ -1632,6 +1608,19 @@ mod tests {
             read_checkpoint(&path),
             Err(CoreError::Durability(_))
         ));
+        // older format versions are typed "unsupported version" errors
+        for version in [1u8, 2] {
+            let mut bytes = b"PDPCKPT".to_vec();
+            bytes.push(version);
+            bytes.extend_from_slice(&[0u8; 24]);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_checkpoint(&path).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Durability(msg)
+                    if msg.contains(&format!("version {version}"))),
+                "got {err:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,23 +17,24 @@
 //!   stream — and therefore every window of it — is always processed by
 //!   the same shard. Each shard runs its own [`OnlineCore`]-backed
 //!   [`StreamingEngine`] with an independent [`DpRng`];
-//! * **dense subject routing** ([`RouteTable`]): the control plane
-//!   interns every registered subject into a dense `u32` index at
-//!   registration time (append-only — the index is stable across
-//!   retire/re-register, checkpoints carry it explicitly, and WAL replay
-//!   re-derives it from command order, so recovery and the live service
-//!   agree bit-for-bit). The per-event route probe is an indexed table
-//!   lookup — `direct[subject.0] → shard`, with a hashed overflow tier
-//!   for sparse ids above [`RouteTable::DIRECT_CAP`] — instead of a
-//!   per-event `HashMap` probe, and the per-subject budget ledgers are a
-//!   dense `Vec` keyed by the intern index on the settle path. Unknown
-//!   or retired subjects hit the table's sentinel and reject the whole
-//!   batch atomically ([`CoreError::UnknownSubject`]) before any event
-//!   moves, exactly as the hash probe did. Checkpoint images written
-//!   before dense interning (format v1) are rejected with a typed
-//!   version error — re-checkpoint from a live service to migrate (the
-//!   wire format stays subject-keyed and sorted, so images mean the
-//!   same thing; only the version byte moved);
+//! * **dense subject routing** ([`RouteTable`]): the per-event route
+//!   probe is an indexed table lookup — `direct[subject.0] → shard`,
+//!   with a hashed overflow tier for sparse ids above
+//!   [`RouteTable::DIRECT_CAP`] — instead of a per-event `HashMap`
+//!   probe. Unknown or retired subjects hit the table's sentinel and
+//!   reject the whole batch atomically ([`CoreError::UnknownSubject`])
+//!   before any event moves. The table holds the subjects routable under
+//!   the last compiled plan: each plan carries the routing delta since
+//!   the previous one ([`EpochPlan::routed`] / [`EpochPlan::unrouted`]),
+//!   so an epoch transition costs O(changed subjects), never a rebuild;
+//! * **per-charged-subject ledgers**: budget ledgers exist only for
+//!   subjects some plan has charged, in a slot-indexed `Vec`; each shard's
+//!   charge schedule stores the slot, so settling a release is one `Vec`
+//!   index with no allocation, and installing a plan touches only the
+//!   previous plan's charges plus the new plan's. Checkpoint images stay
+//!   subject-keyed and sorted; images of an older format version are
+//!   rejected with a typed version error — re-checkpoint from a live
+//!   service to migrate;
 //! * **pipelined shard workers (shard-resident state)**: a multi-shard
 //!   service spawns one persistent worker thread per shard (plain
 //!   `std::thread` + channels — no external dependencies). Each worker
@@ -153,7 +154,7 @@
 //!
 //! [`ReorderBuffer`]: pdp_stream::ReorderBuffer
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -420,10 +421,6 @@ impl ServiceBuilder {
         }
         let plan = self.control.compile_initial()?;
         let n_shards = self.config.n_shards;
-        let mut routes = RouteTable::new();
-        for s in self.control.active_subjects() {
-            routes.insert(s, ShardedService::shard_for(s, n_shards) as u32);
-        }
 
         let mut shards = Vec::with_capacity(n_shards);
         for rng in rngs {
@@ -447,11 +444,6 @@ impl ServiceBuilder {
                 ready: Vec::with_capacity(SUB_BATCH),
             })));
         }
-        let mut meta = vec![ShardMeta::default(); n_shards];
-        for (_, shard) in routes.iter() {
-            meta[shard as usize].n_subjects += 1;
-        }
-
         let parallel = default_parallel(n_shards);
         let workers = if parallel {
             shards
@@ -466,10 +458,11 @@ impl ServiceBuilder {
             shards,
             workers,
             parallel,
-            meta,
+            meta: vec![ShardMeta::default(); n_shards],
             shard_charges: vec![vec![Vec::new()]; n_shards],
-            routes,
+            routes: RouteTable::new(),
             ledgers: Vec::new(),
+            ledger_slots: HashMap::new(),
             query_ledger: EpochLedger::new(),
             merge: MergeState::new(n_shards),
             cores_by_epoch: Vec::new(),
@@ -505,6 +498,7 @@ impl ServiceBuilder {
             wal_retries: 0,
             wal_appends: 0,
         };
+        service.apply_route_delta(&plan);
         service.install_plan(&plan)?;
         Ok(service)
     }
@@ -1104,9 +1098,10 @@ type OverflowMap = HashMap<SubjectId, u32, std::hash::BuildHasherDefault<SplitMi
 /// the atomic unknown-subject rejection path of
 /// [`ShardedService::push_batch`].
 ///
-/// The table is rebuilt wholesale at routing boundaries (build, epoch
-/// activation, restore) and its buffers are retained across rebuilds —
-/// steady-state ingest never allocates here.
+/// The table changes only at routing boundaries: built at service build
+/// and restore, then patched at every epoch transition with the plan's
+/// routing delta ([`RouteTable::insert`] / [`RouteTable::remove`]).
+/// Steady-state ingest never allocates here.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     /// Shard index per raw subject id; [`RouteTable::UNROUTED`] = not
@@ -1168,6 +1163,22 @@ impl RouteTable {
         }
     }
 
+    /// Unroute `subject`, returning the shard it was routed to (`None`
+    /// when it was not routable). The direct tier keeps its length.
+    pub fn remove(&mut self, subject: SubjectId) -> Option<u32> {
+        let shard = if subject.0 < Self::DIRECT_CAP {
+            let slot = self.direct.get_mut(subject.0 as usize)?;
+            if *slot == Self::UNROUTED {
+                return None;
+            }
+            std::mem::replace(slot, Self::UNROUTED)
+        } else {
+            self.overflow.remove(&subject)?
+        };
+        self.len -= 1;
+        Some(shard)
+    }
+
     /// The shard `subject` routes to, or `None` for unknown/retired
     /// subjects — the per-event hot-path probe.
     #[inline]
@@ -1211,22 +1222,23 @@ pub struct ShardedService {
     parallel: bool,
     /// Per-shard observable-state mirrors (see [`ShardMeta`]).
     meta: Vec<ShardMeta>,
-    /// Per shard, indexed by epoch: `(dense subject index, pattern,
-    /// per-release ε)` to charge on every release of that epoch. Kept for
-    /// *all* epochs — releases of an earlier epoch can still settle after
-    /// a later plan was staged. Service-side so folding never touches a
-    /// shard lock. In memory the subject is its dense intern index (the
-    /// settle path indexes `ledgers` directly); the checkpoint wire format
-    /// stays `SubjectId`-keyed, converted at the image boundary.
+    /// Per shard, indexed by epoch: `(ledger slot, pattern, per-release
+    /// ε)` to charge on every release of that epoch. Kept for *all*
+    /// epochs — releases of an earlier epoch can still settle after a
+    /// later plan was staged. Service-side so folding never touches a
+    /// shard lock. In memory the subject is its slot in `ledgers` (the
+    /// settle path indexes it directly); the checkpoint wire format stays
+    /// `SubjectId`-keyed, converted at the image boundary.
     shard_charges: Vec<Vec<Vec<(u32, PatternId, Epsilon)>>>,
-    /// Routing for *active* (non-retired) subjects.
+    /// Routing for the subjects active under the last compiled plan.
     routes: RouteTable,
-    /// Per-subject epoch-aware accounting, indexed by the control plane's
-    /// dense intern index. Ledgers of retired subjects keep their slot —
-    /// their spend stays queryable and is never refunded. May lag
-    /// `ControlPlane::dense_count` for subjects staged but not yet
-    /// activated (they have no charges to settle yet).
-    ledgers: Vec<EpochLedger<PatternId>>,
+    /// Per-subject epoch-aware accounting, one slot per subject some
+    /// installed plan has charged (subjects without patterns have none).
+    /// Slots are never freed: a retired subject's spend stays queryable
+    /// and is never refunded.
+    ledgers: Vec<(SubjectId, EpochLedger<PatternId>)>,
+    /// The slot of each charged subject in `ledgers`.
+    ledger_slots: HashMap<SubjectId, u32>,
     /// Epoch-aware accounting of the non-boolean consumer queries'
     /// dedicated budgets (argmax draws), charged per shard release.
     query_ledger: EpochLedger<QueryId>,
@@ -1374,6 +1386,7 @@ impl Clone for ShardedService {
             shard_charges: self.shard_charges.clone(),
             routes: self.routes.clone(),
             ledgers: self.ledgers.clone(),
+            ledger_slots: self.ledger_slots.clone(),
             query_ledger: self.query_ledger.clone(),
             merge: self.merge.clone(),
             cores_by_epoch: self.cores_by_epoch.clone(),
@@ -1944,18 +1957,7 @@ impl ShardedService {
             )?;
         }
         self.activations.push((activation_index, plan.epoch));
-        // routing: newly active subjects become routable, retired ones
-        // stop (their buffered events still drain through the engine)
-        let n_shards = self.shards.len();
-        self.routes.clear();
-        for meta in &mut self.meta {
-            meta.n_subjects = 0;
-        }
-        for s in self.control.active_subjects() {
-            let shard_idx = Self::shard_for(s, n_shards);
-            self.routes.insert(s, shard_idx as u32);
-            self.meta[shard_idx].n_subjects += 1;
-        }
+        self.apply_route_delta(&plan);
         self.install_plan(&plan)?;
         // journaled only once the whole transition succeeded: a crash
         // anywhere above discards it wholesale, and recovery resumes
@@ -1968,10 +1970,32 @@ impl ShardedService {
         }))
     }
 
+    /// Apply a plan's routing delta: newly active subjects become
+    /// routable, retired ones stop (their buffered events still drain
+    /// through the engine). O(changed subjects).
+    fn apply_route_delta(&mut self, plan: &EpochPlan) {
+        for &subject in &plan.unrouted {
+            if let Some(shard) = self.routes.remove(subject) {
+                self.meta[shard as usize].n_subjects -= 1;
+            }
+        }
+        let n_shards = self.shards.len();
+        for &subject in &plan.routed {
+            let shard = Self::shard_for(subject, n_shards);
+            self.routes.insert(subject, shard as u32);
+            self.meta[shard].n_subjects += 1;
+        }
+    }
+
     /// Wire one compiled plan into the bookkeeping shared by the initial
     /// build and every transition: the per-shard per-epoch charge
     /// schedules and the per-subject epoch ledgers (register caps for
     /// newly charged patterns, fence everything the plan dropped).
+    ///
+    /// Touches only the previous plan's charges plus this plan's: after
+    /// every install the unfenced ledger keys are exactly the installed
+    /// plan's charges, so fencing what the previous plan charged and this
+    /// one does not fences everything this plan dropped.
     fn install_plan(&mut self, plan: &EpochPlan) -> Result<(), CoreError> {
         let epoch = plan.epoch as usize;
         // plans install strictly in epoch order (a failed compile never
@@ -1984,9 +2008,11 @@ impl ShardedService {
                 .register(query, eps)
                 .map_err(CoreError::Dp)?;
         }
-        for query in self.query_ledger.keys() {
-            if !plan.query_charges.iter().any(|(q, _)| *q == query) {
-                self.query_ledger.retire(&query, plan.epoch);
+        if let Some(previous) = epoch.checked_sub(1) {
+            for &(query, _) in &self.query_charges_by_epoch[previous] {
+                if !plan.query_charges.iter().any(|(q, _)| *q == query) {
+                    self.query_ledger.retire(&query, plan.epoch);
+                }
             }
         }
         for charges in &mut self.shard_charges {
@@ -1996,35 +2022,37 @@ impl ShardedService {
                 charges[epoch].clear();
             }
         }
-        // every interned subject gets a ledger slot (dense-indexed; empty
-        // slots are inert — nothing charges them until a plan does)
-        if self.ledgers.len() < self.control.dense_count() {
-            self.ledgers
-                .resize_with(self.control.dense_count(), EpochLedger::new);
-        }
-        let mut active: Vec<Vec<(PatternId, Epsilon)>> = vec![Vec::new(); self.ledgers.len()];
+        let mut charged = HashSet::with_capacity(plan.charges.len());
         for &(subject, pid, eps) in &plan.charges {
-            let (Some(shard_idx), Some(dense)) = (
-                self.routes.lookup(subject),
-                self.control.dense_index(subject),
-            ) else {
+            let Some(shard_idx) = self.routes.lookup(subject) else {
                 return Err(CoreError::InvalidService(format!(
                     "epoch {} charges {subject} which is not routed to any shard",
                     plan.epoch
                 )));
             };
-            self.shard_charges[shard_idx as usize][epoch].push((dense, pid, eps));
-            active[dense as usize].push((pid, eps));
-        }
-        for (dense, ledger) in self.ledgers.iter_mut().enumerate() {
-            let keep = std::mem::take(&mut active[dense]);
-            for pid in ledger.keys() {
-                if !keep.iter().any(|(kept, _)| *kept == pid) {
-                    ledger.retire(&pid, plan.epoch);
+            let slot = match self.ledger_slots.get(&subject) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = self.ledgers.len() as u32;
+                    self.ledgers.push((subject, EpochLedger::new()));
+                    self.ledger_slots.insert(subject, slot);
+                    slot
                 }
-            }
-            for (pid, eps) in keep {
-                ledger.register(pid, eps).map_err(CoreError::Dp)?;
+            };
+            self.ledgers[slot as usize]
+                .1
+                .register(pid, eps)
+                .map_err(CoreError::Dp)?;
+            self.shard_charges[shard_idx as usize][epoch].push((slot, pid, eps));
+            charged.insert((slot, pid));
+        }
+        if let Some(previous) = epoch.checked_sub(1) {
+            for per_epoch in &self.shard_charges {
+                for &(slot, pid, _) in &per_epoch[previous] {
+                    if !charged.contains(&(slot, pid)) {
+                        self.ledgers[slot as usize].1.retire(&pid, plan.epoch);
+                    }
+                }
             }
         }
         Ok(())
@@ -2515,17 +2543,6 @@ impl ShardedService {
         self.wal.as_ref().map(|w| w.offset())
     }
 
-    /// The [`SubjectId`] behind one dense intern index. Total for every
-    /// index the service stores (the registry is append-only); a miss is
-    /// internal corruption, reported typed rather than panicking.
-    fn subject_for_dense(&self, dense: u32) -> Result<SubjectId, CoreError> {
-        self.control.subject_of_dense(dense).ok_or_else(|| {
-            CoreError::InvalidService(format!(
-                "dense subject index {dense} is not interned in the control plane"
-            ))
-        })
-    }
-
     /// Image the full service state into a [`ServiceCheckpoint`] — a
     /// **checkpoint-safe sync point**: every in-flight round folds and the
     /// outbox flushes into `sink` first, so the image never contains an
@@ -2573,26 +2590,30 @@ impl ShardedService {
                 released: m.released,
             })
             .collect();
-        // the wire format stays subject-keyed: dense indexes resolve back
-        // through the control plane at the image boundary, sorted so equal
-        // states encode byte-identically
-        let mut ledgers = Vec::with_capacity(self.ledgers.len());
-        for (dense, ledger) in self.ledgers.iter().enumerate() {
-            ledgers.push((self.subject_for_dense(dense as u32)?, ledger.snapshot()));
-        }
+        // the wire format stays subject-keyed: ledger slots resolve back to
+        // their subjects at the image boundary, sorted so equal states
+        // encode byte-identically
+        let mut ledgers: Vec<_> = self
+            .ledgers
+            .iter()
+            .map(|(subject, ledger)| (*subject, ledger.snapshot()))
+            .collect();
         ledgers.sort_unstable_by_key(|(subject, _)| *subject);
-        let mut shard_charges = Vec::with_capacity(self.shard_charges.len());
-        for per_epoch in &self.shard_charges {
-            let mut epochs = Vec::with_capacity(per_epoch.len());
-            for charges in per_epoch {
-                let mut wire = Vec::with_capacity(charges.len());
-                for &(dense, pid, eps) in charges {
-                    wire.push((self.subject_for_dense(dense)?, pid, eps));
-                }
-                epochs.push(wire);
-            }
-            shard_charges.push(epochs);
-        }
+        let shard_charges = self
+            .shard_charges
+            .iter()
+            .map(|per_epoch| {
+                per_epoch
+                    .iter()
+                    .map(|charges| {
+                        charges
+                            .iter()
+                            .map(|&(slot, pid, eps)| (self.ledgers[slot as usize].0, pid, eps))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         let merge = MergeSnapshot {
             next_index: self.merge.next_index,
             rows: self
@@ -2678,39 +2699,42 @@ impl ShardedService {
             checkpoint.control,
         );
         let n_shards = config.n_shards;
+        // route the subjects of the last *compiled* plan: commands staged
+        // before the checkpoint take effect at the next epoch, exactly as
+        // on the imaged service
         let mut routes = RouteTable::new();
-        for s in control.active_subjects() {
+        for s in control.routed_subjects() {
             routes.insert(s, Self::shard_for(s, n_shards) as u32);
         }
         // the image is subject-keyed on the wire; re-key ledgers and
-        // charge schedules by the restored control plane's dense indexes
-        // (the intern table itself rides in the control snapshot)
-        let mut ledgers: Vec<EpochLedger<PatternId>> = Vec::new();
-        ledgers.resize_with(control.dense_count(), EpochLedger::new);
+        // charge schedules by ledger slot
+        let mut ledgers = Vec::with_capacity(checkpoint.ledgers.len());
+        let mut ledger_slots = HashMap::with_capacity(checkpoint.ledgers.len());
         for (subject, snapshot) in checkpoint.ledgers {
-            let Some(dense) = control.dense_index(subject) else {
+            if !control.knows_subject(subject) {
                 return Err(CoreError::Durability(format!(
                     "checkpoint carries a ledger for {subject}, which the \
                      imaged control plane never registered"
                 )));
-            };
-            ledgers[dense as usize] = EpochLedger::restore(snapshot);
+            }
+            ledger_slots.insert(subject, ledgers.len() as u32);
+            ledgers.push((subject, EpochLedger::restore(snapshot)));
         }
         let mut shard_charges = Vec::with_capacity(checkpoint.shard_charges.len());
         for per_epoch in checkpoint.shard_charges {
             let mut epochs = Vec::with_capacity(per_epoch.len());
             for charges in per_epoch {
-                let mut dense_charges = Vec::with_capacity(charges.len());
+                let mut slot_charges = Vec::with_capacity(charges.len());
                 for (subject, pid, eps) in charges {
-                    let Some(dense) = control.dense_index(subject) else {
+                    let Some(&slot) = ledger_slots.get(&subject) else {
                         return Err(CoreError::Durability(format!(
                             "checkpoint charge schedule references {subject}, \
-                             which the imaged control plane never registered"
+                             which has no budget ledger in the image"
                         )));
                     };
-                    dense_charges.push((dense, pid, eps));
+                    slot_charges.push((slot, pid, eps));
                 }
-                epochs.push(dense_charges);
+                epochs.push(slot_charges);
             }
             shard_charges.push(epochs);
         }
@@ -2783,6 +2807,7 @@ impl ShardedService {
             shard_charges,
             routes,
             ledgers,
+            ledger_slots,
             query_ledger: EpochLedger::restore(checkpoint.query_ledger),
             merge,
             cores_by_epoch,
@@ -2880,12 +2905,11 @@ impl ShardedService {
                 i = j;
                 continue;
             };
-            for &(dense, pid, eps) in charges {
-                let Some(ledger) = self.ledgers.get_mut(dense as usize) else {
+            for &(slot, pid, eps) in charges {
+                let Some((_, ledger)) = self.ledgers.get_mut(slot as usize) else {
                     self.deferred
                         .get_or_insert(CoreError::InvalidService(format!(
-                            "epoch {epoch} charges dense subject index {dense} \
-                             which has no budget ledger"
+                            "epoch {epoch} charges ledger slot {slot}, which does not exist"
                         )));
                     continue;
                 };
@@ -3016,11 +3040,19 @@ impl ShardedService {
         }
     }
 
-    /// The *active* (non-retired) subjects, in id order.
+    /// The subjects routable under the last compiled plan, in id order
+    /// (registrations and retirements staged since take effect at the
+    /// next [`ShardedService::begin_epoch`]).
     pub fn subjects(&self) -> Vec<SubjectId> {
         let mut ids: Vec<SubjectId> = self.routes.iter().map(|(subject, _)| subject).collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// Routable subjects per shard (what keeps a shard's watermark in the
+    /// global low watermark).
+    pub fn subjects_per_shard(&self) -> Vec<usize> {
+        self.meta.iter().map(|m| m.n_subjects).collect()
     }
 
     /// The shard an active subject's events are routed to; `None` for
@@ -3045,8 +3077,7 @@ impl ShardedService {
     /// spend that is already irrevocably committed on the shards.
     pub fn budget_spent(&mut self, subject: SubjectId, pattern: PatternId) -> Option<Epsilon> {
         self.fold_pending();
-        let dense = self.control.dense_index(subject)?;
-        self.ledgers.get(dense as usize)?.try_spent(&pattern)
+        self.ledger(subject)?.try_spent(&pattern)
     }
 
     /// Budget `subject` spent on `pattern` inside one epoch (`None` under
@@ -3059,10 +3090,13 @@ impl ShardedService {
         epoch: u64,
     ) -> Option<Epsilon> {
         self.fold_pending();
-        let dense = self.control.dense_index(subject)?;
-        self.ledgers
-            .get(dense as usize)?
-            .spent_in_epoch(&pattern, epoch)
+        self.ledger(subject)?.spent_in_epoch(&pattern, epoch)
+    }
+
+    /// `subject`'s budget ledger, if some plan has charged them.
+    fn ledger(&self, subject: SubjectId) -> Option<&EpochLedger<PatternId>> {
+        let &slot = self.ledger_slots.get(&subject)?;
+        Some(&self.ledgers[slot as usize].1)
     }
 
     /// Total events accepted by `push_batch` so far (dropped ones
@@ -3602,5 +3636,40 @@ mod tests {
         // one detection flag per registered pattern (p1, p2, the target),
         // sealed behind the trusted boundary
         assert_eq!(release.audit().len(), 3);
+    }
+
+    #[test]
+    fn route_table_remove_on_both_tiers() {
+        let direct = SubjectId(7);
+        let overflow = SubjectId(RouteTable::DIRECT_CAP + 3);
+        for subject in [direct, overflow] {
+            let mut routes = RouteTable::new();
+            // removing an id that was never routed (past the direct
+            // tier's length, or absent from the overflow map) is a no-op
+            assert_eq!(routes.remove(subject), None);
+            routes.insert(SubjectId(2), 0);
+            routes.insert(subject, 3);
+            assert_eq!(routes.len(), 2);
+            assert_eq!(routes.remove(subject), Some(3));
+            assert_eq!(routes.len(), 1);
+            assert_eq!(routes.lookup(subject), None);
+            // a second removal finds nothing and leaves `len` alone
+            assert_eq!(routes.remove(subject), None);
+            assert_eq!(routes.len(), 1);
+            // remove-then-reinsert routes again, to the new shard
+            routes.insert(subject, 1);
+            assert_eq!(routes.lookup(subject), Some(1));
+            assert_eq!(routes.len(), 2);
+            assert_eq!(routes.lookup(SubjectId(2)), Some(0));
+            let mut all: Vec<_> = routes.iter().collect();
+            all.sort_unstable();
+            assert_eq!(all, vec![(SubjectId(2), 0), (subject, 1)]);
+            // an absent id below a routed one (inside the direct tier's
+            // length) is a no-op too
+            assert_eq!(routes.remove(SubjectId(1)), None);
+            assert_eq!(routes.remove(SubjectId(2)), Some(0));
+            assert_eq!(routes.remove(subject), Some(1));
+            assert!(routes.is_empty());
+        }
     }
 }

@@ -408,8 +408,9 @@ impl<K: Eq + Hash + Clone> EpochLedger<K> {
     }
 
     /// Every registered key (retired ones included), in arbitrary order.
-    pub fn keys(&self) -> Vec<K> {
-        self.caps.keys().cloned().collect()
+    /// Borrows the ledger; nothing is allocated.
+    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
+        self.caps.keys()
     }
 
     /// Number of registered keys.

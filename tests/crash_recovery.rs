@@ -290,3 +290,111 @@ fn rejected_commands_replay_harmlessly() {
     assert_eq!(recovered.dropped(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// What one service observably does with routing around the epoch that
+/// compiles a staged registration (77) and a staged retirement (3): the
+/// routed set, the per-shard subject counts, which subject's events are
+/// rejected, the low watermark, the routing delta, and the deliveries.
+fn staged_routing_trace(svc: &mut ShardedService) -> (Vec<String>, VecSink) {
+    let mut sink = VecSink::all();
+    let mut trace = Vec::new();
+    let observe = |svc: &mut ShardedService, trace: &mut Vec<String>, sink: &mut VecSink| {
+        trace.push(format!(
+            "subjects {:?} per shard {:?} watermark {:?}",
+            svc.subjects(),
+            svc.subjects_per_shard(),
+            svc.low_watermark()
+        ));
+        for (subject, ty) in [(77u64, 4u32), (3, 2)] {
+            let ts = 40 + trace.len() as i64;
+            let outcome = svc.push_batch_into(vec![ke(subject, ty, ts)], sink);
+            trace.push(format!("push {subject}: {outcome:?}"));
+        }
+    };
+    observe(svc, &mut trace, &mut sink);
+    let transition = svc.begin_epoch().unwrap().expect("staged commands");
+    trace.push(format!(
+        "epoch {} routed {:?} unrouted {:?}",
+        transition.plan.epoch, transition.plan.routed, transition.plan.unrouted
+    ));
+    observe(svc, &mut trace, &mut sink);
+    svc.push_batch_into(vec![ke(77, 4, 90), ke(1, 0, 91), ke(2, 3, 95)], &mut sink)
+        .unwrap();
+    svc.finish_into(&mut sink).unwrap();
+    trace.push(format!("spends {:?}", spends(svc)));
+    (trace, sink)
+}
+
+/// Subject commands staged but not compiled when a checkpoint is taken
+/// stay staged in the restored and the recovered service: both route
+/// exactly like the live one until the next epoch compiles them, and
+/// identically after it.
+fn staged_subject_commands_stay_staged(parallel: bool, tag: &str) {
+    let dir = scratch(tag);
+    let wal_path = dir.join("service.wal");
+    let mut live = builder(3).build().unwrap();
+    live.set_parallel(parallel);
+    live.attach_wal(WalWriter::create(&wal_path).unwrap());
+    let mut sink = VecSink::all();
+    live.push_batch_into(b1(), &mut sink).unwrap();
+    live.register_subject(SubjectId(77));
+    live.retire_subject(SubjectId(3)).unwrap();
+    let checkpoint = live.checkpoint_into(&mut sink).unwrap();
+    // a WAL tail for recovery to replay: subject 3 is still routed
+    let mut live_tail = VecSink::all();
+    live.push_batch_into(b2(), &mut live_tail).unwrap();
+    live.detach_wal();
+
+    let mut restored = ShardedService::restore(config(3), checkpoint.clone()).unwrap();
+    let mut restored_tail = VecSink::all();
+    restored.push_batch_into(b2(), &mut restored_tail).unwrap();
+    let mut recovered_tail = VecSink::all();
+    let mut recovered =
+        ShardedService::recover_into(config(3), checkpoint, &wal_path, &mut recovered_tail)
+            .unwrap();
+    recovered.detach_wal();
+    for svc in [&restored, &recovered] {
+        assert_eq!(svc.is_parallel(), parallel, "recorded mode restored");
+    }
+
+    let (live_trace, live_out) = staged_routing_trace(&mut live);
+    assert!(
+        live_trace[1].contains("UnknownSubject(77)") && live_trace[2].ends_with("Ok(())"),
+        "before the epoch, 77 is rejected and 3 accepted: {live_trace:?}"
+    );
+    assert!(
+        live_trace[5].ends_with("Ok(())") && live_trace[6].contains("UnknownSubject(3)"),
+        "after the epoch, 77 is accepted and 3 rejected: {live_trace:?}"
+    );
+    let delivered = |tail: &VecSink, out: &VecSink| {
+        (
+            [&tail.shard_releases[..], &out.shard_releases[..]].concat(),
+            [&tail.merged[..], &out.merged[..]].concat(),
+            [&tail.answers[..], &out.answers[..]].concat(),
+        )
+    };
+    let live_delivered = delivered(&live_tail, &live_out);
+    assert!(!live_delivered.0.is_empty());
+    for (name, svc, tail) in [
+        ("restored", &mut restored, restored_tail),
+        ("recovered", &mut recovered, recovered_tail),
+    ] {
+        let (trace, out) = staged_routing_trace(svc);
+        assert_eq!(trace, live_trace, "{name} service routes differently");
+        assert!(
+            delivered(&tail, &out) == live_delivered,
+            "{name} service delivers differently"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn staged_subject_commands_stay_staged_inline() {
+    staged_subject_commands_stay_staged(false, "staged-inline");
+}
+
+#[test]
+fn staged_subject_commands_stay_staged_parallel() {
+    staged_subject_commands_stay_staged(true, "staged-parallel");
+}
